@@ -449,6 +449,8 @@ classify(const std::string &name)
             segment.find("ns_per") != std::string::npos ||
             segmentEndsWith(segment, "_disabled_rate") ||
             segmentEndsWith(segment, "_decode_rate") ||
+            segmentEndsWith(segment, "_recorder_rate") ||
+            segment == "enabled_rate" ||
             segmentEndsWith(segment, "speedup_x") ||
             segmentEndsWith(segment, "_rss_mb") ||
             segment == "wall") {

@@ -1,6 +1,7 @@
 #include "workloads/pbbs/pbbs_bfs.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "core/rng.h"
@@ -51,8 +52,15 @@ PbbsBfs::generate(const WorkloadParams &params) const
     auto *targets = static_cast<std::uint32_t *>(
         arena.allocate(graph.edgeCount() * sizeof(std::uint32_t)));
     std::copy(graph.targets().begin(), graph.targets().end(), targets);
-    auto *parent = static_cast<std::int64_t *>(
+    // parent[] takes its simulated addresses from an arena block but
+    // keeps its values in an aligned host vector: a slab block carved
+    // after an odd-sized bump allocation is only 4-byte aligned.
+    auto *parent_block = static_cast<std::byte *>(
         arena.allocate(n * sizeof(std::int64_t)));
+    std::vector<std::int64_t> parent(n);
+    const auto parentAddr = [&](std::uint32_t v) {
+        return arena.addrOf(parent_block + v * sizeof(std::int64_t));
+    };
     auto *frontier = static_cast<std::uint32_t *>(
         arena.allocate(n * sizeof(std::uint32_t)));
     auto *next = static_cast<std::uint32_t *>(
@@ -74,7 +82,7 @@ PbbsBfs::generate(const WorkloadParams &params) const
     Rng rng(params.seed ^ 0xbf5ull);
 
     while (buffer.memAccesses() < params.scale) {
-        std::fill(parent, parent + n, -1);
+        std::fill(parent.begin(), parent.end(), -1);
         const auto source = static_cast<std::uint32_t>(rng.below(n));
         parent[source] = static_cast<std::int64_t>(source);
         std::uint32_t frontier_size = 1;
@@ -97,7 +105,7 @@ PbbsBfs::generate(const WorkloadParams &params) const
                              arena.addrOf(&targets[e]), targets_hint,
                              v, /*dep_on_prev_load=*/true);
                     rec.load(kSiteLoadParent,
-                             arena.addrOf(&parent[v]), parent_hint,
+                             parentAddr(v), parent_hint,
                              static_cast<std::uint64_t>(parent[v]),
                              /*dep_on_prev_load=*/true);
                     const bool unvisited = parent[v] < 0;
@@ -105,7 +113,7 @@ PbbsBfs::generate(const WorkloadParams &params) const
                     if (unvisited) {
                         parent[v] = static_cast<std::int64_t>(u);
                         rec.store(kSiteStoreParent,
-                                  arena.addrOf(&parent[v]),
+                                  parentAddr(v),
                                   parent_hint);
                         next[next_size] = v;
                         rec.store(kSiteStoreNext,

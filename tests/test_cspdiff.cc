@@ -145,6 +145,9 @@ TEST(Classify, TimingNamesAreBanded)
     EXPECT_EQ(classify("observe_ns_per_access.context"),
               StatClass::Timing);
     EXPECT_EQ(classify("profile_disabled_rate"), StatClass::Timing);
+    EXPECT_EQ(classify("mem_obs_recorder_rate"), StatClass::Timing);
+    EXPECT_EQ(classify("events_overhead.enabled_rate"),
+              StatClass::Timing);
 }
 
 TEST(Classify, ManifestIsProvenance)

@@ -6,14 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
 
 #include "core/stats.h"
 #include "core/stats_registry.h"
+#include "diff/csp_diff.h"
 #include "prefetch/context/context_prefetcher.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
@@ -214,112 +213,32 @@ TEST(StatsRegistry, CsvHasHeaderAndOneLinePerRow)
 // JSON export
 // ---------------------------------------------------------------------
 
-/** Tiny recursive-descent parser for the exported JSON subset (objects
- *  and numbers), flattening nested keys back to dotted paths. */
-class MiniJson
+/** A JSON export flattened back to dotted paths by the cspdiff parser.
+ *  Owns everything it parsed, so it may be built from a temporary. */
+class FlatJson
 {
   public:
-    explicit MiniJson(const std::string &text) : text_(text)
-    {
-        parseObject("");
-    }
+    explicit FlatJson(const std::string &text)
+        : ok_(diff::parseJsonFlat(text, doc_, nullptr))
+    {}
 
-    bool ok() const { return ok_ && pos_ == text_.size(); }
+    bool ok() const { return ok_; }
 
     bool has(const std::string &path) const
     {
-        return values_.count(path) != 0;
+        return doc_.find(path) != nullptr;
     }
 
     double
     at(const std::string &path) const
     {
-        const auto it = values_.find(path);
-        return it == values_.end() ? -1.0 : it->second;
+        const diff::FlatValue *value = doc_.find(path);
+        return value != nullptr && value->is_number ? value->number : -1.0;
     }
 
   private:
-    void
-    parseObject(const std::string &prefix)
-    {
-        if (!eat('{'))
-            return;
-        if (eat('}'))
-            return;
-        do {
-            const std::string key = parseString();
-            if (!eat(':'))
-                return;
-            const std::string path =
-                prefix.empty() ? key : prefix + "." + key;
-            skipSpace();
-            if (pos_ < text_.size() && text_[pos_] == '{')
-                parseObject(path);
-            else
-                values_[path] = parseNumber();
-        } while (eat(','));
-        if (!eat('}'))
-            ok_ = false;
-    }
-
-    std::string
-    parseString()
-    {
-        if (!eat('"')) {
-            ok_ = false;
-            return "";
-        }
-        std::string s;
-        while (pos_ < text_.size() && text_[pos_] != '"')
-            s += text_[pos_++];
-        if (!eat('"'))
-            ok_ = false;
-        return s;
-    }
-
-    double
-    parseNumber()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E')) {
-            ++pos_;
-        }
-        if (pos_ == start) {
-            ok_ = false;
-            return 0.0;
-        }
-        return std::stod(text_.substr(start, pos_ - start));
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-        }
-    }
-
-    bool
-    eat(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
-    std::map<std::string, double> values_;
+    diff::FlatDoc doc_;
+    bool ok_;
 };
 
 TEST(StatsRegistry, JsonRoundTripsNestedGroups)
@@ -335,7 +254,7 @@ TEST(StatsRegistry, JsonRoundTripsNestedGroups)
                      1000.0);
     registry.distribution("context.pq.hit_depth", &hist);
 
-    const MiniJson json(registry.toJson());
+    const FlatJson json(registry.toJson());
     ASSERT_TRUE(json.ok());
     EXPECT_DOUBLE_EQ(json.at("mem.l1.misses"), 123.0);
     EXPECT_DOUBLE_EQ(json.at("sim.instructions"), 1000.0);
@@ -351,7 +270,7 @@ TEST(StatsRegistry, JsonFilterKeepsOnlyPrefix)
     std::uint64_t a = 1, b = 2;
     registry.counter("mem.reads", &a);
     registry.counter("context.lookups", &b);
-    const MiniJson json(registry.toJson("context"));
+    const FlatJson json(registry.toJson("context"));
     ASSERT_TRUE(json.ok());
     EXPECT_TRUE(json.has("context.lookups"));
     EXPECT_FALSE(json.has("mem.reads"));

@@ -2,7 +2,7 @@
 """Bench smoke: perf gauges for the replay, tracing and profiling paths.
 
 Runs four quick probes against an existing build tree and writes a
-single JSON scorecard (BENCH_PR10.json) so CI tracks the perf trajectory:
+single JSON scorecard (BENCH_PR13.json) so CI tracks the perf trajectory:
 
   1. A reduced fig12 sweep (CSP_SCALE-scaled) timed end to end, with the
      peak resident set of the child process captured via getrusage --
@@ -74,7 +74,7 @@ And the scale-out sweep-service bars (PR8 mmap replay + result cache):
   - The warm sweep pass must simulate zero cells and run at least
     MIN_WARM_SWEEP_SPEEDUP_X faster than the cold pass.
 
-Usage: python3 tools/bench_smoke.py [--build-dir build] [--out BENCH_PR10.json]
+Usage: python3 tools/bench_smoke.py [--build-dir build] [--out BENCH_PR13.json]
 """
 
 import argparse
@@ -443,7 +443,7 @@ def run_events_overhead(build_dir, scale, jobs):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR10.json")
+    parser.add_argument("--out", default="BENCH_PR13.json")
     parser.add_argument("--fig12-scale", type=float, default=0.05,
                         help="CSP_SCALE for the reduced fig12 sweep")
     parser.add_argument("--jobs", type=int, default=2)
