@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "core/hashing.h"
+#include "core/json.h"
 
 // Build-provenance fallbacks: the build system normally bakes these in
 // per-source-file (see src/CMakeLists.txt); a bare compile still links.
@@ -51,31 +52,6 @@ addCache(WordHasher &h, const CacheConfig &c)
     h.add(c.line_bytes);
     h.add(c.access_latency);
     h.add(c.mshrs);
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char ch : text) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace

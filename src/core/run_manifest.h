@@ -8,11 +8,11 @@
  *
  * Two runs whose manifests agree on config_digest + trace_digest +
  * seed are replaying the same input through the same knobs, so every
- * correctness stat must match bit for bit; `cspdiff` uses exactly this
+ * correctness stat must match bit for bit; `csp diff` uses exactly this
  * to decide whether a delta is drift or an intentional change.
  *
  * Everything here is deterministic except the host/timing block, which
- * is why cspdiff classifies `manifest.*` as informational and why the
+ * is why csp diff classifies `manifest.*` as informational and why the
  * manifest never appears on cspsim's stdout CSV (the serial-vs-parallel
  * byte-identical determinism contract covers stdout).
  */

@@ -1,6 +1,6 @@
 /**
  * @file
- * The regression observatory behind `cspdiff`: flatten two run
+ * The regression observatory behind `csp diff`: flatten two run
  * artefacts (hierarchical stats JSON, sweep/interval CSV, bench
  * scorecard JSON) into dotted-name -> value maps, classify every stat
  * as must-be-bit-identical (correctness counters and their derived
@@ -20,40 +20,11 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "core/json.h"
+
 namespace csp::diff {
-
-/** One flattened scalar: numeric when the source text parses fully as
- *  a number, textual otherwise. The source text is kept for reports
- *  and for exact string comparison of non-numeric values. */
-struct FlatValue
-{
-    bool is_number = false;
-    double number = 0.0;
-    std::string text;
-};
-
-/** A parsed artefact: dotted-name -> value pairs in document order. */
-struct FlatDoc
-{
-    std::vector<std::pair<std::string, FlatValue>> entries;
-
-    /** First entry named @p name, or nullptr. */
-    const FlatValue *find(const std::string &name) const;
-
-    void add(std::string name, FlatValue value);
-};
-
-/**
- * Flatten a JSON document: objects join keys with '.', arrays use the
- * element index as the key segment. Returns false (with *error set)
- * on malformed input. Handles everything this repo emits plus the
- * escape sequences of ordinary JSON.
- */
-bool parseJsonFlat(const std::string &text, FlatDoc &out,
-                   std::string *error);
 
 /**
  * Flatten a CSV table: each cell becomes "<row key>.<column header>",

@@ -11,22 +11,6 @@ namespace csp::diff {
 
 namespace {
 
-double
-num(const FlatDoc &doc, const std::string &name, double fallback = 0.0)
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr && value->is_number ? value->number
-                                                : fallback;
-}
-
-std::string
-text(const FlatDoc &doc, const std::string &name,
-     const std::string &fallback = "?")
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr ? value->text : fallback;
-}
-
 std::string
 snapKey(std::size_t snap, const char *field)
 {
@@ -52,7 +36,7 @@ series(const FlatDoc &doc, std::size_t snaps, const char *field)
     std::vector<double> out;
     out.reserve(snaps);
     for (std::size_t i = 0; i < snaps; ++i)
-        out.push_back(num(doc, snapKey(i, field)));
+        out.push_back(doc.number(snapKey(i, field)));
     return out;
 }
 
@@ -153,15 +137,15 @@ renderCurve(const FlatDoc &doc, std::size_t snaps, std::ostream &out,
         const std::size_t i =
             rows <= 1 ? snaps - 1 : r * (snaps - 1) / (rows - 1);
         out << "  " << std::setw(12)
-            << fmtCount(num(doc, snapKey(i, "lookup"))) << std::setw(10)
-            << fmt(num(doc, snapKey(i, "epsilon"))) << std::setw(10)
-            << fmt(num(doc, snapKey(i, "accuracy"))) << std::setw(10)
-            << fmt(num(doc, snapKey(i, "entropy"))) << std::setw(12)
-            << fmtCount(num(doc, snapKey(i, "cumulative_reward")))
+            << fmtCount(doc.number(snapKey(i, "lookup"))) << std::setw(10)
+            << fmt(doc.number(snapKey(i, "epsilon"))) << std::setw(10)
+            << fmt(doc.number(snapKey(i, "accuracy"))) << std::setw(10)
+            << fmt(doc.number(snapKey(i, "entropy"))) << std::setw(12)
+            << fmtCount(doc.number(snapKey(i, "cumulative_reward")))
             << std::setw(10)
-            << fmtCount(num(doc, snapKey(i, "explorations")))
+            << fmtCount(doc.number(snapKey(i, "explorations")))
             << std::setw(10)
-            << fmtCount(num(doc, snapKey(i, "cst_live_entries")))
+            << fmtCount(doc.number(snapKey(i, "cst_live_entries")))
             << "\n";
     }
     out << "  epsilon  " << spark(series(doc, snaps, "epsilon"))
@@ -225,15 +209,15 @@ void
 renderCstHealth(const FlatDoc &doc, std::size_t snaps,
                 std::ostream &out)
 {
-    const double probes = num(doc, "learn.cst.probes");
-    const double hits = num(doc, "learn.cst.probe_hits");
-    const double attempts = num(doc, "learn.cst.insert_attempts");
-    const double inserts = num(doc, "learn.cst.inserts");
-    const double duplicates = num(doc, "learn.cst.duplicates");
-    const double conflicts = num(doc, "learn.cst.tag_conflicts");
+    const double probes = doc.number("learn.cst.probes");
+    const double hits = doc.number("learn.cst.probe_hits");
+    const double attempts = doc.number("learn.cst.insert_attempts");
+    const double inserts = doc.number("learn.cst.inserts");
+    const double duplicates = doc.number("learn.cst.duplicates");
+    const double conflicts = doc.number("learn.cst.tag_conflicts");
     const double entry_evictions =
-        num(doc, "learn.cst.entry_evictions");
-    const double link_evictions = num(doc, "learn.cst.link_evictions");
+        doc.number("learn.cst.entry_evictions");
+    const double link_evictions = doc.number("learn.cst.link_evictions");
     out << "cst health\n";
     out << "  probes            " << std::setw(12) << fmtCount(probes)
         << "   hit rate       " << ratio(hits, probes) << "\n";
@@ -254,7 +238,7 @@ renderCstHealth(const FlatDoc &doc, std::size_t snaps,
         const std::string last_total =
             snapKey(snaps - 1, "cst_entries");
         out << "   occupancy      "
-            << ratio(num(doc, last_live), num(doc, last_total));
+            << ratio(doc.number(last_live), doc.number(last_total));
     }
     out << "\n";
 }
@@ -277,7 +261,7 @@ renderTopContexts(const FlatDoc &doc, std::size_t snaps,
         out << "  ctx " << std::setw(10)
             << fmtCount(key->is_number ? key->number : 0) << "  churn "
             << std::setw(3)
-            << fmtCount(num(doc, prefix.str() + "churn")) << "  links";
+            << fmtCount(doc.number(prefix.str() + "churn")) << "  links";
         for (std::size_t l = 0;; ++l) {
             std::ostringstream link;
             link << prefix.str() << "links." << l << '.';
@@ -286,7 +270,7 @@ renderTopContexts(const FlatDoc &doc, std::size_t snaps,
                 break;
             out << ' '
                 << fmtCount(delta->is_number ? delta->number : 0) << ':'
-                << fmtCount(num(doc, link.str() + "score"));
+                << fmtCount(doc.number(link.str() + "score"));
         }
         out << "\n";
     }
@@ -302,8 +286,8 @@ renderCompare(const FlatDoc &a, const std::string &label_a,
         << std::setw(14) << "B" << std::setw(14) << "delta" << "\n";
     const auto row = [&](const char *label, const std::string &name,
                          int precision) {
-        const double va = num(a, name);
-        const double vb = num(b, name);
+        const double va = a.number(name);
+        const double vb = b.number(name);
         out << "  " << std::setw(22) << label << std::setw(14)
             << fmt(va, precision) << std::setw(14)
             << fmt(vb, precision) << std::setw(14)
@@ -324,9 +308,9 @@ renderHeader(const FlatDoc &doc, const std::string &label,
              std::ostream &out)
 {
     out << "== " << label << " ==\n";
-    out << "prefetcher " << text(doc, "prefetcher") << "   workload "
-        << text(doc, "manifest.workloads", "?") << "   seed "
-        << text(doc, "manifest.seed", "?") << "\n";
+    out << "prefetcher " << doc.text("prefetcher", "?") << "   workload "
+        << doc.text("manifest.workloads", "?") << "   seed "
+        << doc.text("manifest.seed", "?") << "\n";
 }
 
 void

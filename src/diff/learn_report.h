@@ -1,6 +1,6 @@
 /**
  * @file
- * Learning-curve report renderer behind `csplearn`: takes one (or two)
+ * Learning-curve report renderer behind `csp learn`: takes one (or two)
  * flattened learn.json documents — the periodic learning-state
  * snapshots cspsim writes under --learn-out — and renders the
  * convergence story as text: per-snapshot learning-curve table with
@@ -20,7 +20,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "diff/csp_diff.h"
+#include "core/json.h"
 
 namespace csp::diff {
 

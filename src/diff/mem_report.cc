@@ -13,22 +13,6 @@ namespace {
 const char *const kClasses[] = {"compulsory", "pollution", "conflict",
                                 "capacity"};
 
-double
-num(const FlatDoc &doc, const std::string &name, double fallback = 0.0)
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr && value->is_number ? value->number
-                                                : fallback;
-}
-
-std::string
-text(const FlatDoc &doc, const std::string &name,
-     const std::string &fallback = "?")
-{
-    const FlatValue *value = doc.find(name);
-    return value != nullptr ? value->text : fallback;
-}
-
 std::string
 fmt(double value, int precision = 4)
 {
@@ -82,8 +66,8 @@ arrayCount(const FlatDoc &doc, const std::string &prefix,
 void
 renderTaxonomy(const FlatDoc &doc, const char *level, std::ostream &out)
 {
-    const double accesses = num(doc, levelKey(level, "accesses"));
-    const double classified = num(doc, levelKey(level, "classified"));
+    const double accesses = doc.number(levelKey(level, "accesses"));
+    const double classified = doc.number(levelKey(level, "classified"));
     out << level << " miss taxonomy ("
         << fmtCount(accesses) << " accesses, "
         << fmtCount(classified) << " classified misses, miss rate "
@@ -91,7 +75,7 @@ renderTaxonomy(const FlatDoc &doc, const char *level, std::ostream &out)
         << ")\n";
     for (const char *cls : kClasses) {
         const double count =
-            num(doc, levelKey(level, std::string("classes.") + cls));
+            doc.number(levelKey(level, std::string("classes.") + cls));
         out << "  " << std::setw(11) << cls << "  " << std::setw(24)
             << share(count, classified) << "\n";
     }
@@ -107,17 +91,17 @@ renderReuse(const FlatDoc &doc, std::ostream &out)
         << std::setw(12) << "capacity" << "\n";
     for (const char *level : {"l1", "l2"}) {
         out << "  " << std::setw(6) << level << std::setw(12)
-            << fmtCount(num(doc, levelKey(level, "reuse.count")))
+            << fmtCount(doc.number(levelKey(level, "reuse.count")))
             << std::setw(10)
-            << fmt(num(doc, levelKey(level, "reuse.mean")), 1)
+            << fmt(doc.number(levelKey(level, "reuse.mean")), 1)
             << std::setw(10)
-            << fmtCount(num(doc, levelKey(level, "reuse.p50")))
+            << fmtCount(doc.number(levelKey(level, "reuse.p50")))
             << std::setw(10)
-            << fmtCount(num(doc, levelKey(level, "reuse.p90")))
+            << fmtCount(doc.number(levelKey(level, "reuse.p90")))
             << std::setw(10)
-            << fmtCount(num(doc, levelKey(level, "reuse.p99")))
+            << fmtCount(doc.number(levelKey(level, "reuse.p99")))
             << std::setw(12)
-            << fmtCount(num(doc, levelKey(level, "capacity_lines")))
+            << fmtCount(doc.number(levelKey(level, "capacity_lines")))
             << "\n";
     }
 }
@@ -129,15 +113,15 @@ renderSets(const FlatDoc &doc, std::ostream &out,
     out << "set pressure (hottest sets by evictions)\n";
     for (const char *level : {"l1", "l2"}) {
         const double evictions =
-            num(doc, levelKey(level, "sets.evictions"));
+            doc.number(levelKey(level, "sets.evictions"));
         const double demand =
-            num(doc, levelKey(level, "sets.fills_demand"));
+            doc.number(levelKey(level, "sets.fills_demand"));
         const double prefetch =
-            num(doc, levelKey(level, "sets.fills_prefetch"));
+            doc.number(levelKey(level, "sets.fills_prefetch"));
         const double fills = demand + prefetch;
         out << "  " << level << ": " << fmtCount(evictions)
             << " evictions across "
-            << fmtCount(num(doc, levelKey(level, "sets.count")))
+            << fmtCount(doc.number(levelKey(level, "sets.count")))
             << " sets, demand fill share "
             << (fills <= 0.0 ? "-" : fmt(demand / fills, 4)) << "\n";
         const std::size_t top = std::min(
@@ -147,11 +131,11 @@ renderSets(const FlatDoc &doc, std::ostream &out,
             std::ostringstream prefix;
             prefix << "mem." << level << ".sets.top." << i << '.';
             out << "    set " << std::setw(6)
-                << fmtCount(num(doc, prefix.str() + "set"))
+                << fmtCount(doc.number(prefix.str() + "set"))
                 << "  evictions " << std::setw(10)
-                << fmtCount(num(doc, prefix.str() + "evictions"))
+                << fmtCount(doc.number(prefix.str() + "evictions"))
                 << "  demand share "
-                << fmt(num(doc, prefix.str() + "demand_share"), 4)
+                << fmt(doc.number(prefix.str() + "demand_share"), 4)
                 << "\n";
         }
     }
@@ -165,8 +149,8 @@ renderPollution(const FlatDoc &doc, std::ostream &out,
     for (const char *level : {"l1", "l2"}) {
         const std::string prefix =
             std::string("mem.pollution.") + level + '.';
-        const double attributed = num(doc, prefix + "attributed");
-        const double unattributed = num(doc, prefix + "unattributed");
+        const double attributed = doc.number(prefix + "attributed");
+        const double unattributed = doc.number(prefix + "unattributed");
         out << "  " << level << ": " << fmtCount(attributed)
             << " attributed, " << fmtCount(unattributed)
             << " unattributed\n";
@@ -177,14 +161,14 @@ renderPollution(const FlatDoc &doc, std::ostream &out,
     for (std::size_t i = 0; i < shown; ++i) {
         std::ostringstream prefix;
         prefix << "mem.pollution.pairs." << i << '.';
-        out << "    L" << fmtCount(num(doc, prefix.str() + "level"))
+        out << "    L" << fmtCount(doc.number(prefix.str() + "level"))
             << "  issuer " << std::setw(14)
-            << text(doc, prefix.str() + "issuer_pc") << "  demand "
-            << std::setw(14) << text(doc, prefix.str() + "demand_pc")
+            << doc.text(prefix.str() + "issuer_pc", "?") << "  demand "
+            << std::setw(14) << doc.text(prefix.str() + "demand_pc", "?")
             << "  misses " << std::setw(8)
-            << fmtCount(num(doc, prefix.str() + "count")) << "\n";
+            << fmtCount(doc.number(prefix.str() + "count")) << "\n";
     }
-    const double overflow = num(doc, "mem.pollution.pairs_overflow");
+    const double overflow = doc.number("mem.pollution.pairs_overflow");
     if (overflow > 0.0) {
         out << "    (" << fmtCount(overflow)
             << " pollution misses beyond the pair-table bound)\n";
@@ -199,7 +183,7 @@ renderPcs(const FlatDoc &doc, std::ostream &out,
     if (pcs == 0)
         return;
     out << "hottest demand PCs (by L1 misses, "
-        << fmtCount(num(doc, "mem.pc_tracked")) << " tracked)\n";
+        << fmtCount(doc.number("mem.pc_tracked")) << " tracked)\n";
     out << "  " << std::setw(14) << "pc" << std::setw(12) << "accesses"
         << std::setw(12) << "l1_misses" << std::setw(12) << "l2_misses"
         << std::setw(12) << "reuse p50" << "\n";
@@ -207,15 +191,15 @@ renderPcs(const FlatDoc &doc, std::ostream &out,
     for (std::size_t i = 0; i < shown; ++i) {
         std::ostringstream prefix;
         prefix << "mem.pc." << i << '.';
-        out << "  " << std::setw(14) << text(doc, prefix.str() + "pc")
+        out << "  " << std::setw(14) << doc.text(prefix.str() + "pc", "?")
             << std::setw(12)
-            << fmtCount(num(doc, prefix.str() + "accesses"))
+            << fmtCount(doc.number(prefix.str() + "accesses"))
             << std::setw(12)
-            << fmtCount(num(doc, prefix.str() + "l1_misses"))
+            << fmtCount(doc.number(prefix.str() + "l1_misses"))
             << std::setw(12)
-            << fmtCount(num(doc, prefix.str() + "l2_misses"))
+            << fmtCount(doc.number(prefix.str() + "l2_misses"))
             << std::setw(12)
-            << fmtCount(num(doc, prefix.str() + "reuse.p50")) << "\n";
+            << fmtCount(doc.number(prefix.str() + "reuse.p50")) << "\n";
     }
 }
 
@@ -228,7 +212,7 @@ renderTimeline(const FlatDoc &doc, std::ostream &out,
     if (samples == 0)
         return;
     out << "queue-depth timeline (" << samples << " samples, every "
-        << fmtCount(num(doc, "mem.interval")) << " accesses)\n";
+        << fmtCount(doc.number("mem.interval")) << " accesses)\n";
     out << "  " << std::setw(12) << "access" << std::setw(12) << "cycle"
         << std::setw(10) << "l1_mshr" << std::setw(10) << "l2_mshr"
         << std::setw(14) << "dram_backlog" << "\n";
@@ -240,15 +224,15 @@ renderTimeline(const FlatDoc &doc, std::ostream &out,
         std::ostringstream prefix;
         prefix << "mem.timeline." << i << '.';
         out << "  " << std::setw(12)
-            << fmtCount(num(doc, prefix.str() + "access"))
+            << fmtCount(doc.number(prefix.str() + "access"))
             << std::setw(12)
-            << fmtCount(num(doc, prefix.str() + "cycle"))
+            << fmtCount(doc.number(prefix.str() + "cycle"))
             << std::setw(10)
-            << fmtCount(num(doc, prefix.str() + "l1_mshr"))
+            << fmtCount(doc.number(prefix.str() + "l1_mshr"))
             << std::setw(10)
-            << fmtCount(num(doc, prefix.str() + "l2_mshr"))
+            << fmtCount(doc.number(prefix.str() + "l2_mshr"))
             << std::setw(14)
-            << fmtCount(num(doc, prefix.str() + "dram_backlog"))
+            << fmtCount(doc.number(prefix.str() + "dram_backlog"))
             << "\n";
     }
 }
@@ -258,13 +242,13 @@ renderShadowCost(const FlatDoc &doc, std::ostream &out)
 {
     out << "shadow models\n";
     out << "  shadow hits        l1 "
-        << fmtCount(num(doc, "mem.l1.shadow_hits")) << "   l2 "
-        << fmtCount(num(doc, "mem.l2.shadow_hits")) << "\n";
+        << fmtCount(doc.number("mem.l1.shadow_hits")) << "   l2 "
+        << fmtCount(doc.number("mem.l2.shadow_hits")) << "\n";
     out << "  stack live lines   l1 "
-        << fmtCount(num(doc, "mem.shadow.l1_live_lines")) << "   l2 "
-        << fmtCount(num(doc, "mem.shadow.l2_live_lines"))
+        << fmtCount(doc.number("mem.shadow.l1_live_lines")) << "   l2 "
+        << fmtCount(doc.number("mem.shadow.l2_live_lines"))
         << "   compactions "
-        << fmtCount(num(doc, "mem.shadow.compactions")) << "\n";
+        << fmtCount(doc.number("mem.shadow.compactions")) << "\n";
 }
 
 void
@@ -277,8 +261,8 @@ renderCompare(const FlatDoc &a, const std::string &label_a,
         << std::setw(14) << "B" << std::setw(14) << "delta" << "\n";
     const auto row = [&](const std::string &label,
                          const std::string &name) {
-        const double va = num(a, name);
-        const double vb = num(b, name);
+        const double va = a.number(name);
+        const double vb = b.number(name);
         out << "  " << std::setw(22) << label << std::setw(14)
             << fmtCount(va) << std::setw(14) << fmtCount(vb)
             << std::setw(14) << fmtCount(vb - va) << "\n";
@@ -300,9 +284,9 @@ renderHeader(const FlatDoc &doc, const std::string &label,
              std::ostream &out)
 {
     out << "== " << label << " ==\n";
-    out << "prefetcher " << text(doc, "prefetcher") << "   workload "
-        << text(doc, "manifest.workloads", "?") << "   seed "
-        << text(doc, "manifest.seed", "?") << "\n";
+    out << "prefetcher " << doc.text("prefetcher", "?") << "   workload "
+        << doc.text("manifest.workloads", "?") << "   seed "
+        << doc.text("manifest.seed", "?") << "\n";
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Memory-hierarchy report renderer behind `cspmem`: takes one (or two)
+ * Memory-hierarchy report renderer behind `csp mem`: takes one (or two)
  * flattened mem.json documents — the miss-taxonomy / set-pressure /
  * queue-depth export cspsim writes under --mem-out — and renders the
  * story as text: per-level 3C+pollution miss tables with shares,
@@ -21,7 +21,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "diff/csp_diff.h"
+#include "core/json.h"
 
 namespace csp::diff {
 

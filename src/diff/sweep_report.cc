@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -12,16 +11,6 @@
 namespace csp::diff {
 
 namespace {
-
-std::uint64_t
-parseU64Text(const std::string &text, std::uint64_t fallback)
-{
-    if (text.empty())
-        return fallback;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    return (end != nullptr && *end == '\0') ? value : fallback;
-}
 
 std::string
 fmtMs(std::uint64_t ns)
@@ -101,22 +90,6 @@ struct CellEndInfo
 
 } // namespace
 
-std::uint64_t
-SweepEvent::u64(const std::string &key, std::uint64_t fallback) const
-{
-    const FlatValue *value = doc.find(key);
-    if (value == nullptr || !value->is_number)
-        return fallback;
-    return parseU64Text(value->text, fallback);
-}
-
-std::string
-SweepEvent::text(const std::string &key) const
-{
-    const FlatValue *value = doc.find(key);
-    return value == nullptr ? std::string() : value->text;
-}
-
 const SweepEvent *
 SweepJournal::first(const std::string &type) const
 {
@@ -173,21 +146,19 @@ parseJournal(const std::string &text, SweepJournal &out,
             return false;
         }
         event.type = type->text;
-        const FlatValue *t_ns = event.doc.find("t_ns");
-        const FlatValue *seq = event.doc.find("seq");
-        const FlatValue *shard = event.doc.find("shard");
-        if (t_ns == nullptr || !t_ns->is_number || seq == nullptr ||
-            !seq->is_number || shard == nullptr ||
-            !shard->is_number) {
+        const auto t_ns = event.doc.u64("t_ns");
+        const auto seq = event.doc.u64("seq");
+        const auto shard = event.doc.u64("shard");
+        if (!t_ns || !seq || !shard) {
             if (error != nullptr) {
                 *error = "line " + std::to_string(line_no) +
                          ": missing t_ns/seq/shard";
             }
             return false;
         }
-        event.t_ns = parseU64Text(t_ns->text, 0);
-        event.seq = parseU64Text(seq->text, 0);
-        event.shard = parseU64Text(shard->text, 0);
+        event.t_ns = *t_ns;
+        event.seq = *seq;
+        event.shard = *shard;
         out.events.push_back(std::move(event));
     }
     return true;
@@ -221,15 +192,15 @@ journalIdentity(const SweepJournal &journal, JournalIdentity &out,
             *error = "no sweep_start event (not a sweep journal?)";
         return false;
     }
-    out.config_digest = start->text("config_digest");
-    out.seed = start->u64("seed");
-    out.scale = start->u64("scale");
-    out.placement = start->text("placement");
-    out.workloads = start->text("workloads");
-    out.prefetchers = start->text("prefetchers");
-    out.shard_count = start->u64("shard_count", 1);
+    out.config_digest = start->doc.text("config_digest");
+    out.seed = start->doc.u64("seed").value_or(0);
+    out.scale = start->doc.u64("scale").value_or(0);
+    out.placement = start->doc.text("placement");
+    out.workloads = start->doc.text("workloads");
+    out.prefetchers = start->doc.text("prefetchers");
+    out.shard_count = start->doc.u64("shard_count").value_or(1);
     out.shard_index = start->shard;
-    out.unix_ns = start->u64("unix_ns");
+    out.unix_ns = start->doc.u64("unix_ns").value_or(0);
     return true;
 }
 
@@ -248,7 +219,8 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
     std::uint64_t shard_count_seen = 0;
     for (const SweepEvent &event : journal.events) {
         if (event.type == "sweep_start") {
-            shard_unix[event.shard] = event.u64("unix_ns");
+            shard_unix[event.shard] =
+                event.doc.u64("unix_ns").value_or(0);
             ++shard_count_seen;
         }
     }
@@ -290,38 +262,38 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
         if (event.type == "cell_end") {
             CellEndInfo info;
             info.event = &event;
-            info.duration_ns = event.u64("duration_ns");
-            info.cached = event.text("source") == "cached";
+            info.duration_ns = event.doc.u64("duration_ns").value_or(0);
+            info.cached = event.doc.text("source") == "cached";
             cells.push_back(info);
             all_ns.push_back(info.duration_ns);
             (info.cached ? cached_ns : simulated_ns)
                 .push_back(info.duration_ns);
             if (info.cached) {
-                read_ns += event.u64("read_ns");
-                parse_ns += event.u64("parse_ns");
-                entry_bytes += event.u64("bytes");
+                read_ns += event.doc.u64("read_ns").value_or(0);
+                parse_ns += event.doc.u64("parse_ns").value_or(0);
+                entry_bytes += event.doc.u64("bytes").value_or(0);
                 cached_wall_ns += info.duration_ns;
             }
-            verify_failures += event.u64("verify_failed");
-            WorkloadAgg &w = by_workload[event.text("workload")];
+            verify_failures += event.doc.u64("verify_failed").value_or(0);
+            WorkloadAgg &w = by_workload[event.doc.text("workload")];
             ++w.cells;
             w.cached += info.cached ? 1 : 0;
             w.total_ns += info.duration_ns;
             w.max_ns = std::max(w.max_ns, info.duration_ns);
-            WorkerAgg &worker =
-                by_worker[{event.shard, event.u64("worker")}];
+            WorkerAgg &worker = by_worker[{
+                event.shard, event.doc.u64("worker").value_or(0)}];
             ++worker.cells;
             worker.busy_ns += info.duration_ns;
         } else if (event.type == "trace_cache") {
             ++trace_cache;
         } else if (event.type == "trace_gen") {
             ++trace_gen;
-            trace_gen_ns += event.u64("duration_ns");
+            trace_gen_ns += event.doc.u64("duration_ns").value_or(0);
         } else if (event.type == "trace_load") {
             ++trace_load;
         } else if (event.type == "evict") {
             ++evicted;
-            evicted_bytes += event.u64("bytes");
+            evicted_bytes += event.doc.u64("bytes").value_or(0);
         }
     }
     std::sort(all_ns.begin(), all_ns.end());
@@ -472,15 +444,17 @@ renderSweepSummary(const SweepJournal &journal, std::ostream &out,
             const CellEndInfo &info = *longest[i];
             std::string line =
                 "  " + std::to_string(i + 1) + "  " +
-                info.event->text("workload");
+                info.event->doc.text("workload");
             padTo(line, 25);
-            line += info.event->text("prefetcher");
+            line += info.event->doc.text("prefetcher");
             padTo(line, 37);
             line += info.cached ? "cached" : "simulated";
             padTo(line, 48);
             line += rightAlign(std::to_string(info.event->shard), 5);
             line += rightAlign(
-                std::to_string(info.event->u64("worker")), 8);
+                std::to_string(
+                    info.event->doc.u64("worker").value_or(0)),
+                8);
             line += rightAlign(fmtMs(info.duration_ns), 13);
             out << line << "\n";
         }
@@ -539,21 +513,23 @@ renderSweepStatus(const SweepJournal &journal, std::ostream &out,
     std::uint64_t cells_done = 0, cells_cached = 0;
     std::uint64_t insts_done = 0;
     for (const SweepEvent &event : journal.events) {
+        const std::pair<std::uint64_t, std::uint64_t> key{
+            event.shard, event.doc.u64("cell").value_or(0)};
         if (event.type == "cell_start") {
-            running[{event.shard, event.u64("cell")}] = &event;
+            running[key] = &event;
         } else if (event.type == "cell_end") {
-            running.erase({event.shard, event.u64("cell")});
+            running.erase(key);
             ++cells_done;
-            if (event.text("source") == "cached")
+            if (event.doc.text("source") == "cached")
                 ++cells_cached;
-            insts_done += event.u64("insts");
+            insts_done += event.doc.u64("insts").value_or(0);
         }
     }
     std::uint64_t cells_owned = 0, insts_owned = 0;
     for (const SweepEvent &event : journal.events) {
         if (event.type == "schedule") {
-            cells_owned += event.u64("cells_owned");
-            insts_owned += event.u64("insts_owned");
+            cells_owned += event.doc.u64("cells_owned").value_or(0);
+            insts_owned += event.doc.u64("insts_owned").value_or(0);
         }
     }
 
@@ -603,9 +579,9 @@ renderSweepStatus(const SweepJournal &journal, std::ostream &out,
         out << "  workers  :\n";
         for (const auto &[key, start] : running) {
             out << "    shard " << start->shard << " worker "
-                << start->u64("worker") << ": "
-                << start->text("workload") << "/"
-                << start->text("prefetcher") << " (running "
+                << start->doc.u64("worker").value_or(0) << ": "
+                << start->doc.text("workload") << "/"
+                << start->doc.text("prefetcher") << " (running "
                 << fmtMs(now_ns - std::min(start->t_ns, now_ns))
                 << " ms)\n";
         }

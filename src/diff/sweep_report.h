@@ -1,17 +1,16 @@
 /**
  * @file
- * Sweep-journal readers and renderers behind `csptop`: parse a
+ * Sweep-journal readers and renderers behind `csp top`: parse a
  * csp-events-v1 JSONL journal (one flattened JSON object per line —
  * see src/sim/sweep_events.h for the event vocabulary), and render
  * either a post-hoc summary (cache hit rate, exact per-cell
  * p50/p90/p99, per-workload timing, straggler/critical-path table,
  * per-worker utilisation, warm-path read/parse attribution) or a
  * live status snapshot (per-worker current cell, progress, ETA) for
- * follow mode. Also the shard-journal merge cspmerge uses.
+ * follow mode. Also the shard-journal merge `csp merge` uses.
  *
  * Lives in csp_diff, not csp_sim: the renderers only ever see the
- * journal bytes, so csptop links the same light library cspdiff and
- * csplearn do. Output is deterministic for a given journal (fixed
+ * journal bytes. Output is deterministic for a given journal (fixed
  * precision, every timestamp comes from the file, never from the
  * clock), so summaries can be golden-tested.
  */
@@ -24,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "diff/csp_diff.h"
+#include "core/json.h"
 
 namespace csp::diff {
 
@@ -37,13 +36,6 @@ struct SweepEvent
     std::uint64_t shard = 0;
     FlatDoc doc;      ///< every field, flattened
     std::string line; ///< the raw line (merge re-emits it verbatim)
-
-    /** Integer field (full uint64 precision), @p fallback if absent
-     *  or non-numeric. */
-    std::uint64_t u64(const std::string &key,
-                      std::uint64_t fallback = 0) const;
-    /** String field, "" when absent. */
-    std::string text(const std::string &key) const;
 };
 
 /** A parsed journal: events in file order. */
@@ -55,7 +47,7 @@ struct SweepJournal
     const SweepEvent *last(const std::string &type) const;
 };
 
-/** What a sweep_start event says was swept — the identity cspmerge
+/** What a sweep_start event says was swept — the identity csp merge
  *  matches against the artefacts before concatenating journals. */
 struct JournalIdentity
 {

@@ -7,7 +7,7 @@
  * under "learn.*" in the run's stats registry (so interval sampling
  * picks it up as a time-series), mirrors epsilon/entropy onto a
  * Perfetto counter track, and keeps every periodic learning-state
- * snapshot for the `--learn-out learn.json` export `csplearn` renders.
+ * snapshot for the `--learn-out learn.json` export `csp learn` renders.
  *
  * The recorder is strictly read-only with respect to the simulation:
  * it owns no RNG, touches no prefetcher state, and its presence never
@@ -100,7 +100,7 @@ class LearningRecorder final : public LearningObserver
     /**
      * Write the full learning-state document (schema "csp-learn-v1"):
      * the run's provenance manifest, the distilled summary and every
-     * snapshot, as the JSON file `csplearn` and `cspdiff` consume.
+     * snapshot, as the JSON file `csp learn` and `csp diff` consume.
      * @p manifest_json is the RunManifest as a JSON object literal.
      */
     void writeLearnJson(std::ostream &out,

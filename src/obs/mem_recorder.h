@@ -11,7 +11,7 @@
  * queue-depth timelines. The telemetry lands under the
  * "mem.class/reuse/sets/pollution/timeline/shadow" registry subtrees
  * (so interval sampling picks it up) and in the `--mem-out mem.json`
- * export (schema "csp-mem-v1") that `cspmem` renders.
+ * export (schema "csp-mem-v1") that `csp mem` renders.
  *
  * The recorder is strictly read-only with respect to the simulation:
  * it owns no RNG, touches no hierarchy state, and its presence never
@@ -241,7 +241,7 @@ class MemRecorder final : public MemObserver
      * the run's provenance manifest, per-level miss taxonomy,
      * reuse-distance histograms, set-pressure heatmap, per-PC table,
      * pollution attribution and the queue-depth timeline, as the JSON
-     * file `cspmem` and `cspdiff` consume. @p manifest_json is the
+     * file `csp mem` and `csp diff` consume. @p manifest_json is the
      * RunManifest as a JSON object literal.
      */
     void writeMemJson(std::ostream &out,

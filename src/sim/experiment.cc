@@ -385,7 +385,7 @@ SweepProgress::report()
                               static_cast<double>(total_sum_);
     // Every rate-limited report also lands in the journal, so a
     // non-verbose sweep with --events-out still records progress for
-    // csptop --follow (ETA, cells/s) without printing anything.
+    // csp top --follow (ETA, cells/s) without printing anything.
     if (journal_ != nullptr) {
         journal_->emit(
             "heartbeat",
@@ -938,7 +938,7 @@ runSweep(const std::vector<std::string> &workload_names,
             result.manifest.sim_seconds;
     }
     // Fold the roll-up into the artefact's cache block (summed by
-    // cspmerge) and the journal's sweep_end event. No lock: the pool
+    // csp merge) and the journal's sweep_end event. No lock: the pool
     // is drained.
     result.cache_read_ns = telemetry.cache_read_ns;
     result.cache_parse_ns = telemetry.cache_parse_ns;

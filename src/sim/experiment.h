@@ -81,8 +81,8 @@ struct SweepResult
     // Warm-path cost attribution, summed over this shard's cached
     // cells (see ResultCache::LoadStats). Side-band telemetry like the
     // manifest's timing block: never part of the deterministic cell
-    // data, carried in the artefact's cache block so cspmerge can sum
-    // it and csptop can report it.
+    // data, carried in the artefact's cache block so csp merge can sum
+    // it and csp top can report it.
     std::uint64_t cache_read_ns = 0;
     std::uint64_t cache_parse_ns = 0;
     std::uint64_t cache_entry_bytes = 0;
@@ -283,7 +283,7 @@ struct SweepOptions
      * Deterministic 1-of-N partition of the sweep grid: this process
      * owns every cell whose rank in the global longest-trace-first
      * order is congruent to shard_index mod shard_count. Non-owned
-     * cells come back with present=false; cspmerge reassembles the
+     * cells come back with present=false; csp merge reassembles the
      * full matrix bit-identically. shard_count=1 owns everything.
      */
     unsigned shard_index = 0;

@@ -12,9 +12,9 @@
 
 #include "core/content_store.h"
 #include "core/hashing.h"
+#include "core/json.h"
 #include "core/logging.h"
 #include "core/run_manifest.h"
-#include "diff/csp_diff.h"
 
 namespace csp::sim {
 
@@ -27,28 +27,6 @@ stringHash(const std::string &text)
 {
     return fnv1a({reinterpret_cast<const std::uint8_t *>(text.data()),
                   text.size()});
-}
-
-/** Parse a uint64 from the flattened value's source text — the double
- *  lane loses precision above 2^53. */
-bool
-parseU64(const diff::FlatDoc &doc, const std::string &name,
-         std::uint64_t &out)
-{
-    const diff::FlatValue *value = doc.find(name);
-    if (value == nullptr || !value->is_number)
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(value->text.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
-bool
-matchText(const diff::FlatDoc &doc, const std::string &name,
-          const std::string &expect)
-{
-    const diff::FlatValue *value = doc.find(name);
-    return value != nullptr && value->text == expect;
 }
 
 /** Every integer field of a RunStats, in serialization order, fed to
@@ -118,14 +96,15 @@ writeRunStatsJson(std::ostream &out, const RunStats &stats)
 }
 
 bool
-parseRunStatsFlat(const diff::FlatDoc &doc, const std::string &prefix,
+parseRunStatsFlat(const FlatDoc &doc, const std::string &prefix,
                   RunStats &stats)
 {
     bool ok = true;
     forEachRunStatsField(stats,
                          [&](const char *name, std::uint64_t &value) {
-                             if (!parseU64(doc, prefix + name, value))
-                                 ok = false;
+                             const auto parsed = doc.u64(prefix + name);
+                             ok = ok && parsed.has_value();
+                             value = parsed.value_or(0);
                          });
     return ok;
 }
@@ -268,37 +247,33 @@ ResultCache::load(const CellKey &key, RunStats &stats,
         finish(true);
         return false;
     };
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    if (!diff::parseJsonFlat(text, doc, &error))
+    if (!parseJsonFlat(text, doc, &error))
         return reject(error.c_str());
-    if (!matchText(doc, "schema", kSchema))
+    if (doc.text("schema") != kSchema)
         return reject("schema mismatch");
-    std::uint64_t epoch = 0;
-    if (!parseU64(doc, "epoch", epoch) || epoch != kResultCacheEpoch)
+    if (doc.u64("epoch") != kResultCacheEpoch)
         return reject("epoch mismatch");
     // A digest collision mapping two different cells to one entry path
     // would silently serve wrong results; the stored identity makes
     // that (and any mis-keyed write) detectable.
-    if (!matchText(doc, "config_digest", hexDigest(key.config_digest)) ||
-        !matchText(doc, "trace_digest", hexDigest(key.trace_digest)) ||
-        !matchText(doc, "workload", key.workload) ||
-        !matchText(doc, "prefetcher", key.prefetcher) ||
-        !matchText(doc, "placement", key.placement))
-        return reject("key mismatch");
-    std::uint64_t scale = 0, seed = 0;
-    if (!parseU64(doc, "scale", scale) || scale != key.scale ||
-        !parseU64(doc, "seed", seed) || seed != key.seed)
+    if (doc.text("config_digest") != hexDigest(key.config_digest) ||
+        doc.text("trace_digest") != hexDigest(key.trace_digest) ||
+        doc.text("workload") != key.workload ||
+        doc.text("prefetcher") != key.prefetcher ||
+        doc.text("placement") != key.placement ||
+        doc.u64("scale") != key.scale || doc.u64("seed") != key.seed)
         return reject("key mismatch");
     RunStats parsed;
     if (!parseRunStatsFlat(doc, "stats.", parsed))
         return reject("missing stats fields");
-    const diff::FlatValue *digest_field = doc.find("payload_digest");
-    if (digest_field == nullptr || digest_field->text.empty())
+    const std::string digest_text = doc.text("payload_digest");
+    if (digest_text.empty())
         return reject("missing payload digest");
     char *end = nullptr;
     const std::uint64_t payload_digest =
-        std::strtoull(digest_field->text.c_str(), &end, 16);
+        std::strtoull(digest_text.c_str(), &end, 16);
     if (end == nullptr || *end != '\0')
         return reject("malformed payload digest");
     if (runStatsDigest(parsed) != payload_digest)

@@ -38,7 +38,7 @@
 
 #include "sim/simulator.h"
 
-namespace csp::diff {
+namespace csp {
 struct FlatDoc;
 }
 
@@ -72,7 +72,7 @@ void writeRunStatsJson(std::ostream &out, const RunStats &stats);
 
 /** Parse a writeRunStatsJson object back out of a flattened document;
  *  every field must be present under @p prefix (e.g. "stats."). */
-bool parseRunStatsFlat(const diff::FlatDoc &doc,
+bool parseRunStatsFlat(const FlatDoc &doc,
                        const std::string &prefix, RunStats &stats);
 
 /** Order-sensitive digest over every RunStats field — the entry's

@@ -2,41 +2,11 @@
 
 #include <utility>
 
+#include "core/json.h"
 #include "core/logging.h"
 #include "core/stats_registry.h"
 
 namespace csp::sim {
-
-namespace {
-
-/** Minimal JSON string escaping — journal strings are workload /
- *  prefetcher / path names, but a hostile name must not break the
- *  one-object-per-line framing. */
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-} // namespace
 
 SweepEventJournal::~SweepEventJournal() { close(); }
 
@@ -55,7 +25,7 @@ SweepEventJournal::open(const std::string &path)
         return false;
     }
     // Unbuffered so each emit()'s single fwrite reaches the file whole
-    // — a reader following the journal (csptop --follow) never sees a
+    // — a reader following the journal (csp top --follow) never sees a
     // torn line, and a crashed sweep leaves a valid prefix.
     std::setvbuf(file, nullptr, _IONBF, 0);
     file_ = file;
@@ -146,7 +116,7 @@ SweepEventJournal::emit(const char *event,
             break;
         case Field::Kind::Str:
             line += '"';
-            appendEscaped(line, field.s);
+            line += jsonEscape(field.s);
             line += '"';
             break;
         case Field::Kind::Raw:

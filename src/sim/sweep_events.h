@@ -29,7 +29,7 @@
  *    interleave mid-line and a crashed sweep leaves a valid prefix.
  *    `t_ns` (monotonic since open) and `seq` are assigned under the
  *    same mutex, so both are nondecreasing within one journal file.
- *    Merged journals (cspmerge --events-out) are ordered by
+ *    Merged journals (csp merge --events-out) are ordered by
  *    `sweep_start.unix_ns + t_ns` instead.
  */
 

@@ -1,11 +1,13 @@
 #include "sim/sweep_io.h"
 
-#include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "core/content_store.h"
-#include "diff/csp_diff.h"
+#include "core/json.h"
 #include "sim/result_cache.h"
 
 namespace csp::sim {
@@ -30,98 +32,88 @@ splitNames(const std::string &joined)
     return names;
 }
 
+/** Copy each named field's exact integer value into its slot; false
+ *  with *error naming the first field that is missing or not a plain
+ *  unsigned integer. */
 bool
-getText(const diff::FlatDoc &doc, const std::string &name,
-        std::string &out, std::string *error)
+readIntegers(
+    const FlatDoc &doc,
+    std::initializer_list<std::pair<std::string, std::uint64_t *>> fields,
+    std::string *error)
 {
-    const diff::FlatValue *value = doc.find(name);
-    if (value == nullptr) {
-        if (error != nullptr)
-            *error = "missing field: " + name;
-        return false;
-    }
-    out = value->text;
-    return true;
-}
-
-bool
-getU64(const diff::FlatDoc &doc, const std::string &name,
-       std::uint64_t &out, std::string *error)
-{
-    const diff::FlatValue *value = doc.find(name);
-    if (value == nullptr || !value->is_number) {
-        if (error != nullptr)
-            *error = "missing numeric field: " + name;
-        return false;
-    }
-    char *end = nullptr;
-    out = std::strtoull(value->text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-        if (error != nullptr)
-            *error = "non-integer field: " + name;
-        return false;
+    for (const auto &[name, out] : fields) {
+        const std::optional<std::uint64_t> value = doc.u64(name);
+        if (!value) {
+            if (error != nullptr)
+                *error = "missing integer field: " + name;
+            return false;
+        }
+        *out = *value;
     }
     return true;
 }
 
 bool
-getDouble(const diff::FlatDoc &doc, const std::string &name,
-          double &out, std::string *error)
-{
-    const diff::FlatValue *value = doc.find(name);
-    if (value == nullptr || !value->is_number) {
-        if (error != nullptr)
-            *error = "missing numeric field: " + name;
-        return false;
-    }
-    out = value->number;
-    return true;
-}
-
-bool
-parseManifestFlat(const diff::FlatDoc &doc, RunManifest &m,
+parseManifestFlat(const FlatDoc &doc, RunManifest &m,
                   std::string *error)
 {
+    const std::pair<const char *, std::string *> texts[] = {
+        {"schema", &m.schema},
+        {"tool", &m.tool},
+        {"git_sha", &m.git_sha},
+        {"build_type", &m.build_type},
+        {"compiler", &m.compiler},
+        {"cxx_flags", &m.cxx_flags},
+        {"config_digest", &m.config_digest},
+        {"workloads", &m.workloads},
+        {"prefetchers", &m.prefetchers},
+        {"placement", &m.placement},
+        {"trace_digest", &m.trace_digest},
+        {"hostname", &m.hostname},
+        {"kernel", &m.kernel},
+        {"arch", &m.arch},
+        {"start_utc", &m.start_utc},
+    };
+    for (const auto &[name, out] : texts) {
+        const FlatValue *value = doc.find(std::string("manifest.") + name);
+        if (value == nullptr) {
+            if (error != nullptr)
+                *error = std::string("missing field: manifest.") + name;
+            return false;
+        }
+        *out = value->text;
+    }
+    const std::pair<const char *, double *> reals[] = {
+        {"trace_gen_seconds", &m.trace_gen_seconds},
+        {"sim_seconds", &m.sim_seconds},
+        {"insts_per_sec", &m.insts_per_sec},
+    };
+    for (const auto &[name, out] : reals) {
+        const FlatValue *value = doc.find(std::string("manifest.") + name);
+        if (value == nullptr || !value->is_number) {
+            if (error != nullptr) {
+                *error =
+                    std::string("missing numeric field: manifest.") + name;
+            }
+            return false;
+        }
+        *out = value->number;
+    }
     std::uint64_t jobs = 0, hw_threads = 0;
-    bool ok =
-        getText(doc, "manifest.schema", m.schema, error) &&
-        getText(doc, "manifest.tool", m.tool, error) &&
-        getText(doc, "manifest.git_sha", m.git_sha, error) &&
-        getText(doc, "manifest.build_type", m.build_type, error) &&
-        getText(doc, "manifest.compiler", m.compiler, error) &&
-        getText(doc, "manifest.cxx_flags", m.cxx_flags, error) &&
-        getText(doc, "manifest.config_digest", m.config_digest,
-                error) &&
-        getU64(doc, "manifest.seed", m.seed, error) &&
-        getText(doc, "manifest.workloads", m.workloads, error) &&
-        getText(doc, "manifest.prefetchers", m.prefetchers, error) &&
-        getU64(doc, "manifest.scale", m.scale, error) &&
-        getText(doc, "manifest.placement", m.placement, error) &&
-        getU64(doc, "manifest.jobs", jobs, error) &&
-        getText(doc, "manifest.trace_digest", m.trace_digest, error) &&
-        getU64(doc, "manifest.trace_records", m.trace_records,
-               error) &&
-        getU64(doc, "manifest.trace_instructions",
-               m.trace_instructions, error) &&
-        getU64(doc, "manifest.trace_accesses", m.trace_accesses,
-               error) &&
-        getText(doc, "manifest.hostname", m.hostname, error) &&
-        getText(doc, "manifest.kernel", m.kernel, error) &&
-        getText(doc, "manifest.arch", m.arch, error) &&
-        getU64(doc, "manifest.hw_threads", hw_threads, error) &&
-        getText(doc, "manifest.start_utc", m.start_utc, error) &&
-        getDouble(doc, "manifest.trace_gen_seconds",
-                  m.trace_gen_seconds, error) &&
-        getDouble(doc, "manifest.sim_seconds", m.sim_seconds,
-                  error) &&
-        getDouble(doc, "manifest.insts_per_sec", m.insts_per_sec,
-                  error);
-    if (!ok)
+    if (!readIntegers(doc,
+                      {{"manifest.seed", &m.seed},
+                       {"manifest.scale", &m.scale},
+                       {"manifest.jobs", &jobs},
+                       {"manifest.trace_records", &m.trace_records},
+                       {"manifest.trace_instructions",
+                        &m.trace_instructions},
+                       {"manifest.trace_accesses", &m.trace_accesses},
+                       {"manifest.hw_threads", &hw_threads}},
+                      error))
         return false;
     m.jobs = static_cast<unsigned>(jobs);
     m.hw_threads = static_cast<unsigned>(hw_threads);
-    const diff::FlatValue *dirty = doc.find("manifest.git_dirty");
-    m.git_dirty = dirty != nullptr && dirty->text == "true";
+    m.git_dirty = doc.text("manifest.git_dirty") == "true";
     return true;
 }
 
@@ -220,11 +212,10 @@ readSweepJson(const std::string &path, SweepResult &out,
             *error = "cannot read " + path;
         return false;
     }
-    diff::FlatDoc doc;
-    if (!diff::parseJsonFlat(text, doc, error))
+    FlatDoc doc;
+    if (!parseJsonFlat(text, doc, error))
         return false;
-    const diff::FlatValue *schema = doc.find("schema");
-    if (schema == nullptr || schema->text != "csp-sweep-v2") {
+    if (doc.text("schema") != "csp-sweep-v2") {
         if (error != nullptr)
             *error = path + ": not a csp-sweep-v2 artefact";
         return false;
@@ -233,21 +224,18 @@ readSweepJson(const std::string &path, SweepResult &out,
     if (!parseManifestFlat(doc, result.manifest, error))
         return false;
     std::uint64_t shard_index = 0, shard_count = 1;
-    if (!getU64(doc, "shard.index", shard_index, error) ||
-        !getU64(doc, "shard.count", shard_count, error) ||
-        !getU64(doc, "cache.cells_cached", result.cells_cached,
-                error) ||
-        !getU64(doc, "cache.cells_simulated", result.cells_simulated,
-                error) ||
-        !getU64(doc, "cache.trace_cache_hits",
-                result.trace_cache_hits, error) ||
-        !getU64(doc, "cache.read_ns", result.cache_read_ns, error) ||
-        !getU64(doc, "cache.parse_ns", result.cache_parse_ns,
-                error) ||
-        !getU64(doc, "cache.entry_bytes", result.cache_entry_bytes,
-                error) ||
-        !getU64(doc, "cache.verify_failures",
-                result.cache_verify_failures, error))
+    if (!readIntegers(
+            doc,
+            {{"shard.index", &shard_index},
+             {"shard.count", &shard_count},
+             {"cache.cells_cached", &result.cells_cached},
+             {"cache.cells_simulated", &result.cells_simulated},
+             {"cache.trace_cache_hits", &result.trace_cache_hits},
+             {"cache.read_ns", &result.cache_read_ns},
+             {"cache.parse_ns", &result.cache_parse_ns},
+             {"cache.entry_bytes", &result.cache_entry_bytes},
+             {"cache.verify_failures", &result.cache_verify_failures}},
+            error))
         return false;
     result.shard_index = static_cast<unsigned>(shard_index);
     result.shard_count = static_cast<unsigned>(shard_count);
@@ -258,11 +246,11 @@ readSweepJson(const std::string &path, SweepResult &out,
     for (std::size_t i = 0;; ++i) {
         const std::string prefix =
             "cells." + std::to_string(i) + ".";
-        const diff::FlatValue *workload =
+        const FlatValue *workload =
             doc.find(prefix + "workload");
         if (workload == nullptr)
             break;
-        const diff::FlatValue *prefetcher =
+        const FlatValue *prefetcher =
             doc.find(prefix + "prefetcher");
         if (prefetcher == nullptr) {
             if (error != nullptr)

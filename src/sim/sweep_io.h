@@ -3,14 +3,14 @@
  * Sweep artefact serialization: one CSV/JSON shape shared by every
  * producer so byte-identity is structural, not accidental.
  *
- * `cspsim --workloads` (whole sweep or one shard) and `cspmerge`
+ * `cspsim --workloads` (whole sweep or one shard) and `csp merge`
  * (shards reassembled) both emit through writeSweepCsv /
  * writeSweepJson. Because cell stats are bit-identical regardless of
  * how they were obtained (simulated, memoized, or merged from another
  * process — the determinism contract), a merged CSV is byte-identical
  * to an unsharded run's and a warm sweep's output is byte-identical to
  * a cold one's; only the manifest's timing block and the cache/shard
- * accounting may differ, which cspdiff classifies as provenance.
+ * accounting may differ, which csp diff classifies as provenance.
  *
  * The JSON schema is "csp-sweep-v2": manifest, shard block, cache
  * block (counts plus warm-path read/parse attribution), then the

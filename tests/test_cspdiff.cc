@@ -1,13 +1,15 @@
 /**
  * @file
- * Regression-observatory tests: JSON/CSV flattening, the
- * correctness/timing/provenance classification, and the diff + exit
- * semantics cspdiff builds CI gates from — including golden canned
- * run documents exercising every verdict.
+ * Regression-observatory tests: JSON/CSV flattening (plus the JSON
+ * module's escaper and typed accessors), the correctness/timing/
+ * provenance classification, and the diff + exit semantics `csp diff`
+ * builds CI gates from — including golden canned run documents
+ * exercising every verdict.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -63,6 +65,62 @@ TEST(JsonFlatten, RejectsMalformed)
     std::string error;
     EXPECT_FALSE(parseJsonFlat("{\"a\":", doc, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(JsonFlatten, EscapeRoundTripsEveryAsciiByte)
+{
+    // Each byte alone, then all of them in one string: whatever the
+    // emitters escape, the reader must give back unchanged.
+    std::string all;
+    for (int byte = 0; byte < 0x80; ++byte) {
+        const std::string one(1, static_cast<char>(byte));
+        all += one;
+        const FlatDoc doc =
+            parseJson("{\"s\":\"" + jsonEscape(one) + "\"}");
+        ASSERT_NE(doc.find("s"), nullptr) << "byte " << byte;
+        EXPECT_EQ(doc.find("s")->text, one) << "byte " << byte;
+    }
+    const std::string mixed = all + "\"\\\"\\";
+    const FlatDoc doc =
+        parseJson("{\"s\":\"" + jsonEscape(mixed) + "\"}");
+    EXPECT_EQ(doc.text("s"), mixed);
+}
+
+TEST(JsonFlatten, TextAndNumberAccessorsFallBack)
+{
+    const FlatDoc doc = parseJson(R"({"s":"x","n":2.5})");
+    EXPECT_EQ(doc.text("s"), "x");
+    EXPECT_EQ(doc.text("n"), "2.5");
+    EXPECT_EQ(doc.text("absent"), "");
+    EXPECT_EQ(doc.text("absent", "?"), "?");
+    EXPECT_EQ(doc.number("n"), 2.5);
+    EXPECT_EQ(doc.number("s", -1.0), -1.0);
+    EXPECT_EQ(doc.number("absent", 7.0), 7.0);
+}
+
+TEST(JsonFlatten, U64IsExactFromSourceText)
+{
+    const FlatDoc doc = parseJson(
+        R"({"max":18446744073709551615,"big":9007199254740993,)"
+        R"("zero":0})");
+    EXPECT_EQ(doc.u64("max"), std::uint64_t{18446744073709551615u});
+    // 2^53 + 1: the double lane rounds it to 2^53.
+    EXPECT_EQ(doc.u64("big"), std::uint64_t{9007199254740993u});
+    EXPECT_EQ(doc.find("big")->number, 9007199254740992.0);
+    EXPECT_EQ(doc.u64("zero"), std::uint64_t{0});
+}
+
+TEST(JsonFlatten, U64RejectsWhatIsNotAPlainUnsignedInteger)
+{
+    const FlatDoc doc = parseJson(
+        R"({"frac":1.5,"exp":1e3,"str":"12","neg":-1,)"
+        R"("over":18446744073709551616})");
+    EXPECT_FALSE(doc.u64("frac").has_value());
+    EXPECT_FALSE(doc.u64("exp").has_value());
+    EXPECT_FALSE(doc.u64("str").has_value());
+    EXPECT_FALSE(doc.u64("neg").has_value());
+    EXPECT_FALSE(doc.u64("over").has_value());
+    EXPECT_FALSE(doc.u64("missing").has_value());
 }
 
 TEST(CsvFlatten, CellsKeyedByRowAndHeader)

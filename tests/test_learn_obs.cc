@@ -2,7 +2,7 @@
  *  distilled counters are internally consistent, the learn.json export
  *  parses and validates as csp-learn-v1, snapshot capture is
  *  byte-identical whether runs execute serially or on a thread pool,
- *  and the csplearn report renders deterministically (golden text). */
+ *  and the csp learn report renders deterministically (golden text). */
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/thread_pool.h"
-#include "diff/csp_diff.h"
+#include "core/json.h"
 #include "diff/learn_report.h"
 #include "obs/learning.h"
 #include "obs/run_observer.h"
@@ -100,18 +100,18 @@ TEST(LearningRecorder, LearnJsonParsesAndValidates)
     const auto recorder = observedRun(trace, 4000);
     const std::string text = learnJson(*recorder);
 
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    ASSERT_TRUE(diff::parseJsonFlat(text, doc, &error)) << error;
+    ASSERT_TRUE(parseJsonFlat(text, doc, &error)) << error;
     EXPECT_TRUE(diff::isLearnDoc(doc, &error)) << error;
 
-    const diff::FlatValue *schema = doc.find("schema");
+    const FlatValue *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
     EXPECT_EQ(schema->text, "csp-learn-v1");
-    const diff::FlatValue *probes = doc.find("learn.cst.probes");
+    const FlatValue *probes = doc.find("learn.cst.probes");
     ASSERT_NE(probes, nullptr);
     EXPECT_GT(probes->number, 0.0);
-    const diff::FlatValue *hits = doc.find("learn.cst.probe_hits");
+    const FlatValue *hits = doc.find("learn.cst.probe_hits");
     ASSERT_NE(hits, nullptr);
     EXPECT_LE(hits->number, probes->number);
     ASSERT_NE(doc.find("snapshots.0.lookup"), nullptr);
@@ -168,7 +168,7 @@ TEST(LearningRecorder, AttachingRecorderNeverChangesSimResults)
         EXPECT_EQ(plain.classes[c], observed.classes[c]);
 }
 
-// Golden csplearn rendering over a small hand-written learn.json: the
+// Golden csp learn rendering over a small hand-written learn.json: the
 // report text is part of the tool's contract (deterministic, diffable
 // across runs), so any change here is a deliberate format change.
 const char *const kGoldenLearnJson = R"({
@@ -206,10 +206,10 @@ const char *const kGoldenLearnJson = R"({
 
 TEST(LearnReport, GoldenRendering)
 {
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
     ASSERT_TRUE(
-        diff::parseJsonFlat(kGoldenLearnJson, doc, &error)) << error;
+        parseJsonFlat(kGoldenLearnJson, doc, &error)) << error;
 
     std::ostringstream out;
     ASSERT_TRUE(diff::renderLearnReport(doc, "golden.json", nullptr,
@@ -254,10 +254,10 @@ TEST(LearnReport, GoldenRendering)
 
 TEST(LearnReport, CompareModeRendersBothAndDeltas)
 {
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
     ASSERT_TRUE(
-        diff::parseJsonFlat(kGoldenLearnJson, doc, &error)) << error;
+        parseJsonFlat(kGoldenLearnJson, doc, &error)) << error;
     std::ostringstream out;
     ASSERT_TRUE(diff::renderLearnReport(doc, "a.json", &doc, "b.json",
                                         out, &error))
@@ -272,10 +272,10 @@ TEST(LearnReport, CompareModeRendersBothAndDeltas)
 
 TEST(LearnReport, RejectsNonLearnDocuments)
 {
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
     ASSERT_TRUE(
-        diff::parseJsonFlat(R"({"schema":"other"})", doc, &error));
+        parseJsonFlat(R"({"schema":"other"})", doc, &error));
     std::ostringstream out;
     EXPECT_FALSE(diff::renderLearnReport(doc, "x", nullptr, "", out,
                                          &error));

@@ -5,7 +5,7 @@
  *  parses and validates as csp-mem-v1 and is byte-identical whether
  *  runs execute serially or on a thread pool, attaching the recorder
  *  never changes simulated results, the registry subtree mirrors the
- *  recorder's counters, and the cspmem report renders deterministically
+ *  recorder's counters, and the csp mem report renders deterministically
  *  (golden text). */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@
 
 #include "core/stats_registry.h"
 #include "core/thread_pool.h"
-#include "diff/csp_diff.h"
+#include "core/json.h"
 #include "diff/mem_report.h"
 #include "obs/mem_recorder.h"
 #include "obs/run_observer.h"
@@ -386,12 +386,12 @@ TEST(MemRecorder, MemJsonParsesAndValidates)
         observedRun(trace, "context", /*queue_sample_every=*/2000);
     const std::string text = memJson(*run.recorder);
 
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    ASSERT_TRUE(diff::parseJsonFlat(text, doc, &error)) << error;
+    ASSERT_TRUE(parseJsonFlat(text, doc, &error)) << error;
     EXPECT_TRUE(diff::isMemDoc(doc, &error)) << error;
 
-    const diff::FlatValue *schema = doc.find("schema");
+    const FlatValue *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
     EXPECT_EQ(schema->text, "csp-mem-v1");
 
@@ -399,13 +399,13 @@ TEST(MemRecorder, MemJsonParsesAndValidates)
     // class counters sum to the classified-miss count.
     for (const char *level : {"l1", "l2"}) {
         const std::string prefix = std::string("mem.") + level;
-        const diff::FlatValue *classified =
+        const FlatValue *classified =
             doc.find(prefix + ".classified");
         ASSERT_NE(classified, nullptr) << level;
         double sum = 0.0;
         for (const char *cls :
              {"compulsory", "pollution", "conflict", "capacity"}) {
-            const diff::FlatValue *v =
+            const FlatValue *v =
                 doc.find(prefix + ".classes." + cls);
             ASSERT_NE(v, nullptr) << level << ' ' << cls;
             sum += v->number;
@@ -478,7 +478,7 @@ TEST(MemRecorder, RegistryStatsMirrorRecorderCounters)
 }
 
 // ---------------------------------------------------------------------
-// cspmem rendering (golden text over a small hand-written mem.json).
+// csp mem rendering (golden text over a small hand-written mem.json).
 
 const char *const kGoldenMemJson = R"({
   "schema":"csp-mem-v1",
@@ -534,9 +534,9 @@ const char *const kGoldenMemJson = R"({
 
 TEST(MemReport, GoldenRendering)
 {
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    ASSERT_TRUE(diff::parseJsonFlat(kGoldenMemJson, doc, &error))
+    ASSERT_TRUE(parseJsonFlat(kGoldenMemJson, doc, &error))
         << error;
 
     std::ostringstream out;
@@ -566,9 +566,9 @@ TEST(MemReport, GoldenRendering)
 
 TEST(MemReport, CompareModeRendersBothAndDeltas)
 {
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    ASSERT_TRUE(diff::parseJsonFlat(kGoldenMemJson, doc, &error))
+    ASSERT_TRUE(parseJsonFlat(kGoldenMemJson, doc, &error))
         << error;
     std::ostringstream out;
     ASSERT_TRUE(diff::renderMemReport(doc, "a.json", &doc, "b.json",
@@ -582,16 +582,16 @@ TEST(MemReport, CompareModeRendersBothAndDeltas)
 
 TEST(MemReport, RejectsNonMemDocuments)
 {
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
     ASSERT_TRUE(
-        diff::parseJsonFlat(R"({"schema":"other"})", doc, &error));
+        parseJsonFlat(R"({"schema":"other"})", doc, &error));
     std::ostringstream out;
     EXPECT_FALSE(
         diff::renderMemReport(doc, "x", nullptr, "", out, &error));
     EXPECT_FALSE(error.empty());
 
-    diff::FlatDoc learn;
+    FlatDoc learn;
     ASSERT_TRUE(parseJsonFlat(R"({"schema":"csp-learn-v1"})", learn,
                               &error));
     EXPECT_FALSE(diff::isMemDoc(learn, &error));
@@ -600,12 +600,12 @@ TEST(MemReport, RejectsNonMemDocuments)
 TEST(MemReport, EndToEndRenderFromRealRun)
 {
     // A real run's export renders without error and mentions the real
-    // class counts — the cspmem tool is a thin shell over this path.
+    // class counts — the csp mem tool is a thin shell over this path.
     const trace::TraceBuffer trace = makeTrace("mcf");
     const ObservedMemRun run = observedRun(trace, "context", 2000);
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    ASSERT_TRUE(diff::parseJsonFlat(memJson(*run.recorder), doc, &error))
+    ASSERT_TRUE(parseJsonFlat(memJson(*run.recorder), doc, &error))
         << error;
     std::ostringstream out;
     ASSERT_TRUE(diff::renderMemReport(doc, "mem.json", nullptr, "", out,

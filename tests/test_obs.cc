@@ -244,7 +244,7 @@ TEST(AutopsyTables, ByteIdenticalAcrossIdenticalRuns)
 {
     // The autopsy writers iterate sorted containers only — two runs
     // of the same experiment must render byte-identical tables (the
-    // golden contract cspdiff and the CI observatory rely on).
+    // golden contract csp diff and the CI observatory rely on).
     const auto run = [] {
         SystemConfig config;
         workloads::WorkloadParams params;

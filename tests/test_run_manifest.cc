@@ -3,7 +3,7 @@
  * Run-provenance tests: the config digest is stable under identical
  * inputs and sensitive to every class of knob, the trace content
  * digest pins workload generation, and the manifest round-trips
- * through the cspdiff parsers.
+ * through the csp diff parsers.
  */
 
 #include <gtest/gtest.h>
@@ -104,20 +104,20 @@ TEST(RunManifest, JsonParsesAndCarriesIdentity)
     manifest.workloads = "bst";
     manifest.prefetchers = "context";
 
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
-    ASSERT_TRUE(diff::parseJsonFlat(manifest.toJson(), doc, &error))
+    ASSERT_TRUE(parseJsonFlat(manifest.toJson(), doc, &error))
         << error;
 
-    const diff::FlatValue *schema = doc.find("schema");
+    const FlatValue *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
     EXPECT_EQ(schema->text, "csp-run-manifest-v1");
 
-    const diff::FlatValue *digest = doc.find("config_digest");
+    const FlatValue *digest = doc.find("config_digest");
     ASSERT_NE(digest, nullptr);
     EXPECT_EQ(digest->text, hexDigest(configDigest(config)));
 
-    const diff::FlatValue *seed = doc.find("seed");
+    const FlatValue *seed = doc.find("seed");
     ASSERT_NE(seed, nullptr);
     EXPECT_TRUE(seed->is_number);
     EXPECT_EQ(seed->number, 42.0);
@@ -130,11 +130,11 @@ TEST(RunManifest, CsvCommentRoundTripsThroughCsvParser)
     manifest.writeCsvComment(csv);
     csv << "name,value\nrow,1\n";
 
-    diff::FlatDoc doc;
+    FlatDoc doc;
     std::string error;
     ASSERT_TRUE(diff::parseCsvFlat(csv.str(), doc, &error)) << error;
 
-    const diff::FlatValue *tool = doc.find("manifest.tool");
+    const FlatValue *tool = doc.find("manifest.tool");
     ASSERT_NE(tool, nullptr);
     EXPECT_EQ(tool->text, "test");
     EXPECT_NE(doc.find("manifest.config_digest"), nullptr);

@@ -12,7 +12,7 @@
 
 #include "core/stats.h"
 #include "core/stats_registry.h"
-#include "diff/csp_diff.h"
+#include "core/json.h"
 #include "prefetch/context/context_prefetcher.h"
 #include "sim/simulator.h"
 #include "workloads/registry.h"
@@ -213,13 +213,13 @@ TEST(StatsRegistry, CsvHasHeaderAndOneLinePerRow)
 // JSON export
 // ---------------------------------------------------------------------
 
-/** A JSON export flattened back to dotted paths by the cspdiff parser.
+/** A JSON export flattened back to dotted paths by parseJsonFlat.
  *  Owns everything it parsed, so it may be built from a temporary. */
 class FlatJson
 {
   public:
     explicit FlatJson(const std::string &text)
-        : ok_(diff::parseJsonFlat(text, doc_, nullptr))
+        : ok_(parseJsonFlat(text, doc_, nullptr))
     {}
 
     bool ok() const { return ok_; }
@@ -232,12 +232,12 @@ class FlatJson
     double
     at(const std::string &path) const
     {
-        const diff::FlatValue *value = doc_.find(path);
+        const FlatValue *value = doc_.find(path);
         return value != nullptr && value->is_number ? value->number : -1.0;
     }
 
   private:
-    diff::FlatDoc doc_;
+    FlatDoc doc_;
     bool ok_;
 };
 

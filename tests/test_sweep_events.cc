@@ -1,7 +1,7 @@
 /** @file The sweep observatory's contract: the --events-out journal is
  *  well-formed (envelope, ordering, cell pairing, roll-up counts) and
  *  strictly side-band (cell CSV bit-identical with events on or off,
- *  at any job count); csptop's renderers are deterministic against
+ *  at any job count); csp top's renderers are deterministic against
  *  golden output; shard journals merge time-ordered and mismatched
  *  identities are refused; the result-cache LRU trim evicts
  *  oldest-mtime-first; warm sweeps attribute their read/parse cost. */
@@ -125,9 +125,9 @@ TEST(SweepEventJournal, LiveJournalIsWellFormed)
     // (both stamped under the writer's mutex).
     const diff::SweepEvent &first = parsed.events.front();
     EXPECT_EQ(first.type, "sweep_start");
-    EXPECT_EQ(first.text("schema"), "csp-events-v1");
-    EXPECT_EQ(first.u64("shard_count"), 1u);
-    EXPECT_EQ(first.text("workloads"), "array,list,bst");
+    EXPECT_EQ(first.doc.text("schema"), "csp-events-v1");
+    EXPECT_EQ(first.doc.u64("shard_count"), 1u);
+    EXPECT_EQ(first.doc.text("workloads"), "array,list,bst");
     std::uint64_t prev_seq = 0, prev_t = 0;
     bool first_event = true;
     for (const diff::SweepEvent &event : parsed.events) {
@@ -145,18 +145,19 @@ TEST(SweepEventJournal, LiveJournalIsWellFormed)
     std::map<std::uint64_t, int> open;
     std::uint64_t ends = 0, cached = 0;
     for (const diff::SweepEvent &event : parsed.events) {
+        const std::uint64_t cell = event.doc.u64("cell").value_or(0);
         if (event.type == "cell_start") {
-            EXPECT_EQ(open.count(event.u64("cell")), 0u);
-            open[event.u64("cell")] = 1;
+            EXPECT_EQ(open.count(cell), 0u);
+            open[cell] = 1;
         } else if (event.type == "cell_end") {
-            EXPECT_EQ(open.count(event.u64("cell")), 1u);
-            open.erase(event.u64("cell"));
+            EXPECT_EQ(open.count(cell), 1u);
+            open.erase(cell);
             ++ends;
-            const std::string source = event.text("source");
+            const std::string source = event.doc.text("source");
             EXPECT_TRUE(source == "cached" || source == "simulated");
             if (source == "cached")
                 ++cached;
-            EXPECT_GT(event.u64("insts"), 0u);
+            EXPECT_GT(event.doc.u64("insts").value_or(0), 0u);
         }
     }
     EXPECT_TRUE(open.empty());
@@ -164,11 +165,13 @@ TEST(SweepEventJournal, LiveJournalIsWellFormed)
     const diff::SweepEvent *end = parsed.last("sweep_end");
     ASSERT_NE(end, nullptr);
     EXPECT_EQ(end, &parsed.events.back());
-    EXPECT_EQ(end->u64("cells_owned"), ends);
-    EXPECT_EQ(end->u64("cells_cached"), cached);
-    EXPECT_EQ(end->u64("cells_simulated"), ends - cached);
+    EXPECT_EQ(end->doc.u64("cells_owned"), ends);
+    EXPECT_EQ(end->doc.u64("cells_cached"), cached);
+    EXPECT_EQ(end->doc.u64("cells_simulated"), ends - cached);
     // The roll-up embeds a stats-registry report.
-    EXPECT_NE(end->u64("stats.sweep.cells_owned"), 0u);
+    const auto embedded = end->doc.u64("stats.sweep.cells_owned");
+    ASSERT_TRUE(embedded.has_value());
+    EXPECT_NE(*embedded, 0u);
 }
 
 TEST(SweepEventJournal, JournalIsSideBand)

@@ -53,15 +53,15 @@ It also gates the four "disabled observability must stay free" bars
     requested. BM_MemObs_Recorder (all three shadow models live) is
     distilled as an ungated overhead gauge.
 
-And two absolute hot-path bars for the context prefetcher (the PR7
-flat-CST/incremental-hash rework), so a hot-path regression turns the
-job red on the machine that ran it:
+And two hot-path bars for the context prefetcher (the PR7
+flat-CST/incremental-hash rework), each the median over the micro
+passes of a ratio to a control timed in the same pass, so a hot-path
+regression turns the job red whatever the runner's absolute speed:
 
-  - replay mcf/context must sustain at least
-    MIN_MCF_CONTEXT_INSTS_PER_SEC (floor set ~30% under the tuned
-    path's measured rate to absorb runner-generation noise).
+  - replay mcf/context must retain at least MIN_MCF_CONTEXT_RATE of
+    replay mcf/none's insts/s (same trace, no prefetcher).
   - BM_Context (per-access observe cost) must stay under
-    MAX_CONTEXT_OBSERVE_NS.
+    MAX_CONTEXT_OBSERVE_X times BM_Stride's.
 
 And the scale-out sweep-service bars (PR8 mmap replay + result cache):
 
@@ -81,6 +81,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -104,12 +105,23 @@ MIN_COMPRESSION_X = 2.0
 # still turns the job red.
 MIN_DISABLED_RATE = 0.92
 
-# Context-prefetcher hot-path bars (PR7). The tuned path replays mcf at
-# ~3.0M insts/s and observes in ~330 ns on the dev machine; the floors
-# leave ~30-40% headroom for slower CI runners while still catching a
-# real regression (the pre-rework path ran at 1.26M insts/s / ~700 ns).
-MIN_MCF_CONTEXT_INSTS_PER_SEC = 2.0e6
-MAX_CONTEXT_OBSERVE_NS = 500.0
+# Context-prefetcher hot-path bars (PR7), as ratios to a control timed
+# in the same pass: the absolute floors they replace (2.0M insts/s,
+# 500 ns) failed on a 4-vCPU runner whatever the code did. Each gate
+# reads the median over the micro passes of the per-pass ratio
+# (pass_ratio). Over 41 bench_smoke-style micro passes (median-of-3
+# repetitions, RelWithDebInfo, 4-vCPU x86-64 container), mcf/context
+# kept 0.145-0.286 (median 0.184) of mcf/none's rate in a single pass
+# and 0.169-0.239 as a median of three consecutive passes; BM_Context
+# cost 20.1-40.6x (median 32.1x) BM_Stride in a single pass and
+# 25.0-33.5x as a median of three. Both bars sit ~30% beyond the
+# median (0.7 * 0.184 = 0.129, 1.3 * 32.1 = 41.7), so no measured pass
+# of unchanged code fails them. The observe bar failed every
+# median-of-three with observe() made ~37% slower; a 30% slowdown
+# lands on it. The replay bar only catches a slowdown beyond ~40%: a
+# ~27% slower mcf/context replay read 0.131-0.158, inside its headroom.
+MIN_MCF_CONTEXT_RATE = 0.13
+MAX_CONTEXT_OBSERVE_X = 42.0
 
 # Scale-out sweep-service bars (PR8). The shared decoder streams ~165M
 # insts/s on the dev machine through either path; the absolute floor
@@ -213,15 +225,37 @@ def run_micro(build_dir, min_time, repetitions, micro_runs, raw_out):
     single-vCPU runner). The fastest observation of each benchmark is
     the least load-contaminated estimate of its true cost, and a real
     regression depresses every pass, so the gates still catch it.
+
+    Returns the best-of-N entries and every pass's medians keyed by
+    benchmark name (for pass_ratio).
     """
     best = {}
+    passes = []
     for _ in range(max(micro_runs, 1)):
-        for bench in run_micro_once(build_dir, min_time, repetitions,
-                                    raw_out):
+        medians = run_micro_once(build_dir, min_time, repetitions,
+                                 raw_out)
+        passes.append({bench["name"]: bench for bench in medians})
+        for bench in medians:
             kept = best.get(bench["name"])
             if kept is None or bench["real_time"] < kept["real_time"]:
                 best[bench["name"]] = bench
-    return list(best.values())
+    return list(best.values()), passes
+
+
+def pass_ratio(passes, numerator, denominator, field):
+    """Median over passes of numerator's field / denominator's field,
+    both sides taken from the same pass (None if no pass has both).
+
+    The hot-path bars read this rather than a ratio of two best-of-N
+    values: each best-of-N side can come from a different pass, so
+    its ratio carries the drift between passes on top of the drift
+    within one.
+    """
+    ratios = [p[numerator][field] / p[denominator][field]
+              for p in passes
+              if numerator in p and denominator in p
+              and p[denominator][field]]
+    return statistics.median(ratios) if ratios else None
 
 
 def run_manifest(build_dir):
@@ -486,10 +520,10 @@ def main():
           f">= {MIN_EVENTS_ENABLED_RATE} required)")
 
     raw_out = args.out + ".raw"
+    best, passes = run_micro(args.build_dir, args.min_time,
+                             args.repetitions, args.micro_runs, raw_out)
     (replay, replay_mmap, decode, trace_obs, profile, learn_obs,
-     mem_obs, observe_ns) = distill(
-        run_micro(args.build_dir, args.min_time, args.repetitions,
-                  args.micro_runs, raw_out))
+     mem_obs, observe_ns) = distill(best)
     os.remove(raw_out)
 
     control = trace_obs.get("control", 0)
@@ -530,8 +564,8 @@ def main():
         "mem_obs_recorder_rate": round(mem_recorder_rate, 4),
         "observe_ns_per_access": observe_ns,
         "hot_path_bars": {
-            "min_mcf_context_insts_per_sec": MIN_MCF_CONTEXT_INSTS_PER_SEC,
-            "max_context_observe_ns": MAX_CONTEXT_OBSERVE_NS,
+            "min_mcf_context_rate": MIN_MCF_CONTEXT_RATE,
+            "max_context_observe_x": MAX_CONTEXT_OBSERVE_X,
             "min_decode_packed_insts_per_sec":
                 MIN_DECODE_PACKED_INSTS_PER_SEC,
             "min_mmap_decode_rate": MIN_MMAP_DECODE_RATE,
@@ -578,12 +612,15 @@ def main():
     print(f"mem-obs disabled-path rate: {mem_rate:.4f} "
           f"(>= {MIN_DISABLED_RATE} required); recorder rate "
           f"{mem_recorder_rate:.4f} (gauge)")
-    mcf_context = replay.get("mcf/context", {}).get("insts_per_sec", 0)
-    context_ns = observe_ns.get("context", float("inf"))
-    print(f"hot path: mcf/context {mcf_context / 1e6:.2f} M insts/s "
-          f"(>= {MIN_MCF_CONTEXT_INSTS_PER_SEC / 1e6:.2f} M required), "
-          f"context observe {context_ns} ns/access "
-          f"(<= {MAX_CONTEXT_OBSERVE_NS} ns required)")
+    mcf_context_rate = pass_ratio(passes, "BM_Replay_Mcf_Context",
+                                  "BM_Replay_Mcf_None", "insts/s") or 0.0
+    context_observe_x = pass_ratio(passes, "BM_Context", "BM_Stride",
+                                   "real_time") or float("inf")
+    print(f"hot path (median of {len(passes)} same-pass ratios): "
+          f"mcf/context = {mcf_context_rate:.4f} of mcf/none "
+          f"(>= {MIN_MCF_CONTEXT_RATE} required), context observe = "
+          f"{context_observe_x:.2f}x stride "
+          f"(<= {MAX_CONTEXT_OBSERVE_X}x required)")
     print(f"wrote {args.out}")
 
     failed = False
@@ -611,15 +648,14 @@ def main():
               f"{mem_rate:.4f} of the control replay rate "
               f"(bar: {MIN_DISABLED_RATE})", file=sys.stderr)
         failed = True
-    if mcf_context < MIN_MCF_CONTEXT_INSTS_PER_SEC:
-        print(f"FAIL: replay mcf/context {mcf_context / 1e6:.2f} M "
-              f"insts/s < required "
-              f"{MIN_MCF_CONTEXT_INSTS_PER_SEC / 1e6:.2f} M",
-              file=sys.stderr)
+    if mcf_context_rate < MIN_MCF_CONTEXT_RATE:
+        print(f"FAIL: replay mcf/context keeps only "
+              f"{mcf_context_rate:.4f} of the mcf/none rate "
+              f"(bar: {MIN_MCF_CONTEXT_RATE})", file=sys.stderr)
         failed = True
-    if context_ns > MAX_CONTEXT_OBSERVE_NS:
-        print(f"FAIL: context observe {context_ns} ns/access > "
-              f"ceiling {MAX_CONTEXT_OBSERVE_NS} ns",
+    if context_observe_x > MAX_CONTEXT_OBSERVE_X:
+        print(f"FAIL: context observe costs {context_observe_x:.2f}x "
+              f"stride's (ceiling: {MAX_CONTEXT_OBSERVE_X}x)",
               file=sys.stderr)
         failed = True
     if packed_rate < MIN_DECODE_PACKED_INSTS_PER_SEC:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a cspsim --events-out sweep journal (csp-events-v1 JSONL),
-so CI catches a malformed or incoherent journal before csptop renders
-it. Works on single-shard journals and on cspmerge --events-out merged
+so CI catches a malformed or incoherent journal before csp top renders
+it. Works on single-shard journals and on csp merge --events-out merged
 journals alike (events are grouped per shard before checking order).
 
 Checks, in order:
@@ -43,7 +43,7 @@ SCHEMA = "csp-events-v1"
 # Keys beyond the envelope (event/t_ns/seq/shard) every instance of an
 # event type must carry. Unknown event types are an error: the schema
 # is closed so a renamed emitter fails here instead of silently
-# vanishing from csptop.
+# vanishing from csp top.
 REQUIRED_BY_EVENT = {
     "sweep_start": (
         "schema", "unix_ns", "config_digest", "seed", "scale",

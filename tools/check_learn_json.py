@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a cspsim --learn-out file against the csp-learn-v1 schema,
-so CI catches a malformed learning-state export before csplearn or
-cspdiff consume it.
+so CI catches a malformed learning-state export before csp learn or
+csp diff consume it.
 
 Checks, in order:
 

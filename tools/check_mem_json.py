@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a cspsim --mem-out file against the csp-mem-v1 schema, so
-CI catches a malformed memory-observatory export before cspmem or
-cspdiff consume it.
+CI catches a malformed memory-observatory export before csp mem or
+csp diff consume it.
 
 Checks, in order:
 

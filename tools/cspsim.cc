@@ -143,8 +143,8 @@ usage()
         "                           (policy epsilon/accuracy/entropy,\n"
         "                           CST health, top contexts with arm\n"
         "                           scores) as learn.json, manifest\n"
-        "                           embedded; render with csplearn,\n"
-        "                           diff with cspdiff\n"
+        "                           embedded; render with csp learn,\n"
+        "                           diff with csp diff\n"
         "  --learn-snapshot-every N snapshot the learning state every N\n"
         "                           prefetcher lookups (default 0 =\n"
         "                           auto, about 32 per run)\n"
@@ -154,7 +154,7 @@ usage()
         "                           set-pressure telemetry, MSHR/DRAM\n"
         "                           queue timeline) as mem.json,\n"
         "                           manifest embedded; render with\n"
-        "                           cspmem, diff with cspdiff\n"
+        "                           csp mem, diff with csp diff\n"
         "  --mem-interval N         sample MSHR/DRAM queue depths every\n"
         "                           N demand accesses (default 0 =\n"
         "                           auto, about 64 samples per run)\n"
@@ -175,14 +175,14 @@ usage()
         "  --sweep-out FILE         write the sweep artefact (manifest,\n"
         "                           cache/shard accounting, cells) as\n"
         "                           csp-sweep-v2 JSON; shards feed these\n"
-        "                           files to cspmerge\n"
+        "                           files to csp merge\n"
         "  --events-out FILE        append-only csp-events-v1 JSONL\n"
         "                           journal of the sweep (trace gen,\n"
         "                           per-cell start/end with cached-vs-\n"
         "                           simulated attribution, heartbeats,\n"
         "                           roll-ups); watch live or post-hoc\n"
-        "                           with csptop, merge shard journals\n"
-        "                           with cspmerge --journal. Side-band:\n"
+        "                           with csp top, merge shard journals\n"
+        "                           with csp merge --journal. Side-band:\n"
         "                           results are byte-identical with the\n"
         "                           journal on or off\n"
         "  --cache-max-bytes SIZE   bound the result cache: after the\n"
@@ -194,7 +194,7 @@ usage()
         "  --shard I/N              own only every N-th cell (rank I) of\n"
         "                           the sweep's longest-first schedule;\n"
         "                           N independent shard processes cover\n"
-        "                           the grid and cspmerge reassembles\n"
+        "                           the grid and csp merge reassembles\n"
         "                           bit-identically\n"
         "  --no-result-cache        always simulate (or set\n"
         "                           CSP_RESULT_CACHE=0)\n"
@@ -568,7 +568,7 @@ main(int argc, char **argv)
     // Sweep-service mode: the whole grid (or one shard of it) through
     // runSweep with both caches on by default — the flags/env knobs
     // above opt out. stdout carries the deterministic cell CSV;
-    // --sweep-out carries the full artefact for cspmerge/cspdiff.
+    // --sweep-out carries the full artefact for csp merge and csp diff.
     if (!options.sweep_workloads.empty()) {
         workloads::WorkloadParams params;
         params.scale = options.scale;
@@ -948,7 +948,7 @@ main(int argc, char **argv)
         if (multi)
             stats_json << '}';
         // Every stats file leads with its provenance so any two runs
-        // can be compared (or rejected as incomparable) by cspdiff.
+        // can be compared (or rejected as incomparable) by csp diff.
         std::ostringstream doc;
         doc << "{\"manifest\":" << manifest.toJson()
             << ",\"stats\":" << stats_json.str() << "}\n";
